@@ -1,11 +1,11 @@
 """Fleet-scale batch cohorts: the paper's campaign at ``--hosts N``.
 
-The columnar backend keeps the 19-host paper run byte-identical while
-storing fleet state in numpy columns.  This module is the second half of
-the scale story: a *batch* simulator that replays the paper's hardware
-mix, tent physics, and fault models over an arbitrarily large cohort --
-pods of 19 hosts, each pod a replica of the paper's vendor lineup under
-its own tent -- using pure vector arithmetic per tick.
+The 19-host paper run ticks one :class:`~repro.hardware.host.Host` object
+per server.  This module is the scale story: a *batch* simulator that
+replays the paper's hardware mix, tent physics, and fault models over an
+arbitrarily large cohort -- pods of 19 hosts, each pod a replica of the
+paper's vendor lineup under its own tent -- using pure vector arithmetic
+per tick.
 
 It is an explicitly *approximate* mode and is not draw-compatible with
 the per-object engine:

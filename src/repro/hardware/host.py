@@ -31,7 +31,6 @@ from repro.hardware.faults import (
 from repro.hardware.sensors import SensorChip, SensorReading, SensorState
 from repro.hardware.storage import StorageSubsystem
 from repro.hardware.vendors import VendorSpec
-from repro.sim.columns import ColumnAttr, EnumColumnAttr, FleetColumns, bind_object
 from repro.sim.events import EventBus, HostFailed, SensorLatched
 from repro.sim.rng import RngStreams
 from repro.state.protocol import check_version
@@ -63,20 +62,6 @@ class HostState(enum.Enum):
     SHED = "shed"  # deliberately powered down (load-shed / feed drop)
 
 
-#: Small-int codes for the ``host_state`` fleet column.  RUNNING is 1 so a
-#: running-host mask is a single array comparison.
-_HOST_STATE_CODES = {
-    HostState.STAGED: 0,
-    HostState.RUNNING: 1,
-    HostState.BOOTING: 2,
-    HostState.FAILED: 3,
-    HostState.RETIRED: 4,
-    HostState.SHED: 5,
-}
-HOST_STATE_RUNNING_CODE = _HOST_STATE_CODES[HostState.RUNNING]
-HOST_STATE_SHED_CODE = _HOST_STATE_CODES[HostState.SHED]
-
-
 class Host:
     """One computer of the fleet.
 
@@ -100,14 +85,6 @@ class Host:
         fault log records them; without a bus the host falls back to
         recording into the ``fault_log`` passed to :meth:`tick`.
     """
-
-    # Tick-hot attributes; column-backed once the fleet calls
-    # ``bind_columns``, plain per-instance storage otherwise (prototype
-    # host, unit tests).
-    state = EnumColumnAttr("host_state", _HOST_STATE_CODES)
-    uptime_s = ColumnAttr("uptime_s", float)
-    frailty = ColumnAttr("frailty", float)
-    reset_count = ColumnAttr("reset_count", int)
 
     def __init__(
         self,
@@ -309,10 +286,11 @@ class Host:
         if not self.running:
             return
         self.uptime_s += dt_s
-        case = self.case_temp_c()
         intake = self.intake_temp_c()
+        power = self.power_w
+        case = self.spec.case_temp_c(intake, power)
         sensor_was_ok = self.sensor.state is SensorState.OK
-        self.sensor.exposure_step(self.cpu_temp_c(), dt_s, time)
+        self.sensor.exposure_step(self.cpu.temperature_c(intake, power), dt_s, time)
         if (
             sensor_was_ok
             and self.sensor.state is SensorState.ERRATIC
@@ -345,78 +323,9 @@ class Host:
         if struck:
             self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
 
-    def tick_from_columns(
-        self,
-        dt_s: float,
-        time: float,
-        fault_log: Optional[FaultLog],
-        case: float,
-        intake: float,
-        cpu_temp: float,
-        precip: float,
-    ) -> None:
-        """The stochastic tail of :meth:`tick`, with the thermal reads done.
-
-        The columnar fleet tick computes uptime, case, intake, and die
-        temperatures for the whole fleet in one vectorized pass, then calls
-        this per host (in host-id order) for the parts that must stay
-        scalar: RNG draws, threshold latches, and failure events.  The
-        draw and event sequence is exactly :meth:`tick`'s.
-        """
-        sensor_was_ok = self.sensor.state is SensorState.OK
-        self.sensor.exposure_step(cpu_temp, dt_s, time)
-        if (
-            sensor_was_ok
-            and self.sensor.state is SensorState.ERRATIC
-            and self.bus is not None
-        ):
-            self.bus.publish(SensorLatched(time=time, host_id=self.host_id))
-        self.storage.tick(dt_s, case, time)
-        if not self.storage.operational:
-            self._fail(time, fault_log, FaultKind.DISK, "storage array lost")
-            return
-        if precip > 0.0:
-            rate = WATER_INGRESS_RATE_PER_MM * precip
-            if self._fault_rng.random() < hazard_probability(rate, dt_s):
-                self._fail(
-                    time, fault_log, FaultKind.WATER_INGRESS,
-                    f"{precip:.1f} mm/h reaching the case",
-                )
-                return
-        struck = self.transient_model.sample_failure(
-            self._fault_rng,
-            dt_s,
-            self.spec.defective_series,
-            self.frailty,
-            case,
-            intake,
-        )
-        if struck:
-            self._fail(time, fault_log, FaultKind.TRANSIENT_SYSTEM, "")
-
-    def bind_columns(self, columns: FleetColumns) -> int:
-        """Re-home this host's hot state into a fleet column store.
-
-        Registers the host (and its disks) with ``columns``, copies the
-        static vendor parameters into the per-host parameter columns, and
-        rebinds every columnized attribute value-preservingly.  Returns
-        the host's column index.
-        """
-        index, disk_start = columns.add_host(self.host_id, len(self.storage.disks))
-        columns.idle_power_w[index] = self.spec.idle_power_w
-        columns.active_power_w[index] = self.spec.active_power_w
-        columns.cpu_idle_power_w[index] = self.spec.cpu_idle_power_w
-        columns.cpu_active_power_w[index] = self.spec.cpu_active_power_w
-        columns.case_rise_k_per_w[index] = self.spec.case_rise_k_per_w
-        columns.cpu_theta_k_per_w[index] = self.spec.cpu_theta_k_per_w
-        columns.average_power_w[index] = self.spec.average_power_w()
-        columns.defective_series[index] = self.spec.defective_series
-        bind_object(self, columns, index)
-        bind_object(self.cpu, columns, index)
-        bind_object(self.sensor, columns, index)
-        bind_object(self.memory, columns, index)
-        self.storage.bind_columns(columns, disk_start)
-        return index
+    # Kept as an alias of ``tick`` for the benchmark's layer tracer, which
+    # looks the name up in ``Host.__dict__``; nothing in the package calls it.
+    tick_from_columns = tick
 
     def _fail(self, time: float, fault_log: Optional[FaultLog], kind: FaultKind, detail: str) -> None:
         self.state = HostState.FAILED

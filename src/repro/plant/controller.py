@@ -3,10 +3,9 @@
 The fleet-scale chaos plane (:class:`repro.plant.fleet.FleetPlant`) keeps
 thousands of pods as numpy vectors.  The paper campaign has exactly one
 tent pod and a basement control group, and its state must round-trip
-byte-identically through :class:`~repro.core.builder.CampaignCheckpoint`
-on both fleet backends -- so it gets this scalar controller instead,
-driven off its own ``"plant.tick"`` engine key right behind
-``"fleet.tick"``.
+byte-identically through :class:`~repro.core.builder.CampaignCheckpoint`,
+so it gets this scalar controller instead, driven off its own
+``"plant.tick"`` engine key right behind ``"fleet.tick"``.
 
 The controller owns the same fault grammar and physics constants as the
 fleet plane:
@@ -17,7 +16,7 @@ fleet plane:
   (:meth:`BasementMachineRoom.fail_crac`),
 - heater loss accretes intake ice while it is freezing outside,
 - a power-feed drop powers down a whole host group (feed 0 = tent,
-  feed 1 = basement) until repair,
+  feed 1 = basement; no ``feed=`` drops both) until repair,
 
 and an optional :class:`~repro.plant.trip.ThermalTripPolicy` watches the
 tent intake: overtemperature trips shed the tent group in stages
@@ -289,18 +288,22 @@ class PlantController:
         elif kind is PlantFaultKind.HEATER_LOSS:
             self.heater_until = max(self.heater_until, until)
         elif kind is PlantFaultKind.FEED_DROP:
-            feed = fault.feed if fault.feed is not None else 0
-            if feed >= len(FEED_GROUPS):
+            if fault.feed is None:
+                feeds = range(len(FEED_GROUPS))  # unscoped: every feed drops
+            elif fault.feed < len(FEED_GROUPS):
+                feeds = range(fault.feed, fault.feed + 1)
+            else:
                 return
-            fresh = self.feed_until[feed] == _INACTIVE
-            self.feed_until[feed] = max(self.feed_until[feed], until)
-            if fresh:
-                self._drop_feed(feed, now)
+            for feed in feeds:
+                fresh = self.feed_until[feed] == _INACTIVE
+                self.feed_until[feed] = max(self.feed_until[feed], until)
+                if fresh:
+                    self._drop_feed(feed, now)
         self.census["faults_injected"] += 1
         if self.bus is not None:
             domain = 0 if kind in POD_SCOPED else -1
-            if kind is PlantFaultKind.FEED_DROP:
-                domain = fault.feed if fault.feed is not None else 0
+            if kind is PlantFaultKind.FEED_DROP and fault.feed is not None:
+                domain = fault.feed
             self.bus.publish(
                 PlantFaultInjected(
                     time=now,

@@ -3,7 +3,7 @@
 The tentpole's hardest promise lives here: a campaign killed in the
 *middle of an active outage* -- shed hosts, CRAC down, trip latched --
 and resumed cold from disk must finish byte-identical to the straight
-run, on both fleet backends.  And a campaign built with an *empty* plan
+run.  And a campaign built with an *empty* plan
 must not merely be close to the plain seed-7 run: it must reproduce the
 pinned record digest exactly, because no plant is constructed at all.
 
@@ -39,10 +39,9 @@ EVERY = 2 * 86_400.0
 MID_OUTAGE_CUT = 3
 
 
-def _chaos_builder(backend="columnar"):
+def _chaos_builder():
     return (
         CampaignBuilder(ExperimentConfig(seed=7))
-        .with_fleet_backend(backend)
         .with_plant_faults(PlantFaultPlan.parse(PLAN))
         .with_trip_policy(ThermalTripPolicy.parse(POLICY))
     )
@@ -52,15 +51,16 @@ def _record_json(results):
     return record_from_results(7, results, until=UNTIL).canonical_json()
 
 
-class TestChaosCampaign:
-    @pytest.fixture(scope="class")
-    def straight(self):
-        campaign = _chaos_builder().build()
-        recorder = EventRecorder()
-        recorder.attach(campaign.bus)
-        results = campaign.run(until=UNTIL)
-        return campaign, recorder, results
+@pytest.fixture(scope="module")
+def straight():
+    campaign = _chaos_builder().build()
+    recorder = EventRecorder()
+    recorder.attach(campaign.bus)
+    results = campaign.run(until=UNTIL)
+    return campaign, recorder, results
 
+
+class TestChaosCampaign:
     def test_census_counts_the_incident(self, straight):
         campaign, _, _ = straight
         census = SurvivalCensus.from_campaign(campaign)
@@ -87,12 +87,10 @@ class TestChaosCampaign:
 
 
 class TestKillAndResumeMidOutage:
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_resume_is_byte_identical(self, backend, tmp_path):
-        straight_campaign = _chaos_builder(backend).build()
-        straight = straight_campaign.run(until=UNTIL)
+    def test_resume_is_byte_identical(self, straight, tmp_path):
+        straight_campaign, _, straight_results = straight
 
-        campaign = _chaos_builder(backend).build()
+        campaign = _chaos_builder().build()
         campaign.run(
             until=UNTIL, checkpoint_every=EVERY, checkpoint_dir=str(tmp_path)
         )
@@ -111,8 +109,37 @@ class TestKillAndResumeMidOutage:
         assert mid._trip_policy == ThermalTripPolicy.parse(POLICY)
 
         results = mid.continue_run(until=UNTIL)
-        assert _record_json(results) == _record_json(straight)
+        assert _record_json(results) == _record_json(straight_results)
         assert mid.plant.census == straight_campaign.plant.census
+
+
+class TestUnscopedFeedDrop:
+    """A feed drop with no ``feed=`` takes down every feed group."""
+
+    def test_drops_and_restores_every_group(self):
+        until = dt.datetime(2010, 3, 17, 12, 0)  # day 26 of the test window
+        campaign = (
+            CampaignBuilder(ExperimentConfig(seed=7))
+            .with_plant_faults(PlantFaultPlan.parse("feed:drop@day25,repair=6h"))
+            .build()
+        )
+        recorder = EventRecorder()
+        recorder.attach(campaign.bus)
+        campaign.run(until=until)
+
+        injected = recorder.of_type(ev.PlantFaultInjected)
+        assert [(e.kind, e.domain) for e in injected] == [("feed", -1)]
+        shed = [e for e in recorder.of_type(ev.LoadShed) if e.reason == "feed"]
+        restored = [
+            e for e in recorder.of_type(ev.LoadRestored) if e.reason == "feed"
+        ]
+        assert sorted(e.pod for e in shed) == [0, 1]
+        assert sorted(e.pod for e in restored) == [0, 1]
+        assert all(e.hosts > 0 for e in shed)
+        assert {e.pod: e.hosts for e in restored} == {e.pod: e.hosts for e in shed}
+        repaired = recorder.of_type(ev.PlantFaultRepaired)
+        assert sorted(e.domain for e in repaired) == [0, 1]
+        assert campaign.plant.shed_host_count() == 0
 
 
 class TestEmptyPlanDigest:
