@@ -164,14 +164,8 @@ class Fleet:
 
     def host_census(self) -> "tuple[int, int]":
         """``(running, shed)`` counts across the fleet."""
-        running = 0
-        shed = 0
-        for host in self.hosts.values():
-            if host.state is HostState.RUNNING:
-                running += 1
-            elif host.state is HostState.SHED:
-                shed += 1
-        return running, shed
+        states = [host.state for host in self.hosts.values()]
+        return states.count(HostState.RUNNING), states.count(HostState.SHED)
 
     def enclosure_for_group(self, group: str) -> Enclosure:
         """The enclosure a group's hosts are installed into."""

@@ -20,6 +20,7 @@ import base64
 import dataclasses
 import datetime as _dt
 import enum
+import functools
 import math
 from typing import Any, Dict, List, Optional, Sequence, Type
 
@@ -92,11 +93,13 @@ def unpack_optional_floats(blob: Dict[str, Any]) -> List[Optional[float]]:
 # ----------------------------------------------------------------------
 # Tagged values
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
 def _class_registry() -> Dict[str, Type]:
     """Name -> class for everything a checkpoint may instantiate.
 
     Imported lazily so the state package stays import-light and free of
-    cycles (core and monitoring import it back).
+    cycles (core and monitoring import it back); built once, because a
+    restore looks classes up hundreds of times.
     """
     from repro.climate import profiles as _profiles
     from repro.control import controllers as _controllers
