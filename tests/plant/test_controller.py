@@ -3,7 +3,8 @@
 The tentpole's hardest promise lives here: a campaign killed in the
 *middle of an active outage* -- shed hosts, CRAC down, trip latched --
 and resumed cold from disk must finish byte-identical to the straight
-run.  And a campaign built with an *empty* plan
+run, also when the checkpoint is one written while the fleet still had a
+``fleet_backend`` option.  And a campaign built with an *empty* plan
 must not merely be close to the plain seed-7 run: it must reproduce the
 pinned record digest exactly, because no plant is constructed at all.
 
@@ -87,7 +88,11 @@ class TestChaosCampaign:
 
 
 class TestKillAndResumeMidOutage:
-    def test_resume_is_byte_identical(self, straight, tmp_path):
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_resume_is_byte_identical(self, backend, straight, tmp_path):
+        """Resume the mid-outage cut as an older checkpoint that still
+        names a fleet backend; either legacy value must load and finish
+        byte-identical to the straight run."""
         straight_campaign, _, straight_results = straight
 
         campaign = _chaos_builder().build()
@@ -96,10 +101,13 @@ class TestKillAndResumeMidOutage:
         )
         assert len(campaign.checkpoints_written) > MID_OUTAGE_CUT
 
-        from repro.state.checkpoint import read_checkpoint
+        from repro.state.checkpoint import read_checkpoint, write_checkpoint
 
         snapshot = read_checkpoint(campaign.checkpoints_written[MID_OUTAGE_CUT])
-        mid = Campaign.restore(snapshot)
+        snapshot.meta["fleet_backend"] = backend
+        legacy = str(tmp_path / "legacy.ckpt")
+        assert write_checkpoint(legacy, snapshot)
+        mid = Campaign.restore(read_checkpoint(legacy))
         # The cut really was mid-incident: hosts shed, CRAC still down.
         assert mid.plant is not None
         assert mid.plant.shed_host_count() > 0
