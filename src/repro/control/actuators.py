@@ -72,10 +72,11 @@ class ActuatorBus:
     - :meth:`set_dvfs` -- server fan/DVFS power scale on the tent's IT
       load.
 
-    The chaos plane feeds its fan/blockage severities in through
+    The chaos plane feeds its fan/blockage/ice severities in through
     :meth:`set_plant_degradation` so degradation and deliberate
     actuation compose into one airflow state instead of overwriting
-    each other.
+    each other, and sheds through :meth:`shed_lowest_first`, the same
+    staging loop :meth:`set_load_shed` uses.
     """
 
     STATE_VERSION = 1
@@ -87,6 +88,7 @@ class ActuatorBus:
         self.fan_duty = 0.0
         self.fan_severity = 0.0
         self.blockage = 0.0
+        self.ice = 0.0
         # Setpoints (None = never commanded; construction value rules).
         self.crac_setpoint_c: Optional[float] = None
         self.dvfs_scale = 1.0
@@ -129,20 +131,25 @@ class ActuatorBus:
         self.actions_applied += 1
         return True
 
-    def set_plant_degradation(self, fan_severity: float, blockage: float) -> None:
-        """Chaos-plane input: degraded blower/intake severities.
+    def set_plant_degradation(
+        self, fan_severity: float, blockage: float, ice: float = 0.0
+    ) -> None:
+        """Chaos-plane input: degraded blower/intake severities and ice.
 
         Not an operator action (no command tally) -- the plant
-        controller reports its fault state here every tick so the
+        controller reports each change of its fault state here so the
         composed airflow always reflects both faults and intent.
         """
         self.fan_severity = float(fan_severity)
         self.blockage = float(blockage)
+        self.ice = float(ice)
         self._apply_airflow()
 
     def _apply_airflow(self) -> None:
         """Compose degradation, flap, and fan duty into the tent."""
-        ua, ach = airflow_factors(self.fan_severity, self.blockage, self.flap_open)
+        ua, ach = airflow_factors(
+            self.fan_severity, self.blockage, self.flap_open, self.ice
+        )
         if self.fan_duty > 0.0:
             ua *= 1.0 + FAN_DUTY_UA_BOOST * self.fan_duty
             ach *= 1.0 + FAN_DUTY_ACH_BOOST * self.fan_duty
@@ -187,35 +194,47 @@ class ActuatorBus:
     ) -> int:
         """Shed (or restore) hosts to meet a cumulative group fraction.
 
-        Sheds lowest host id first, restores in LIFO order -- the same
-        staging discipline the thermal-trip machinery uses.  Returns the
-        number of hosts whose power state changed.
+        Sheds lowest host id first (:meth:`shed_lowest_first`), restores
+        in LIFO order.  Returns the number of hosts whose power state
+        changed.
         """
-        fraction = clamp_fraction(fraction)
-        hosts = sorted(self.fleet.hosts_in_group(group), key=lambda h: h.host_id)
-        target = int(math.ceil(fraction * len(hosts)))
-        changed = 0
-        if target > len(self._shed):
-            for host in hosts:
-                if len(self._shed) >= target:
-                    break
-                if host.state is HostState.RUNNING and host.host_id not in self._shed:
-                    self.power_down(host, now, reason=reason)
-                    self._shed.append(host.host_id)
-                    changed += 1
-        else:
-            while len(self._shed) > target:
-                host = self.fleet.host(self._shed.pop())
-                if host.state is HostState.SHED:
-                    self.power_up(host, now)
-                    changed += 1
+        shed_before = len(self._shed)
+        target = self.shed_lowest_first(
+            self._shed, clamp_fraction(fraction), now, group, reason
+        )
+        changed = len(self._shed) - shed_before
+        while len(self._shed) > target:
+            host = self.fleet.host(self._shed.pop())
+            if host.state is HostState.SHED:
+                self.power_up(host, now)
+                changed += 1
         if changed:
             self.actions_applied += 1
         return changed
 
+    def shed_lowest_first(
+        self, shed: List[int], fraction: float, now: float, group: str, reason: str
+    ) -> int:
+        """Power ``group`` down, lowest host id first, to a staged fraction.
+
+        ``shed`` lists the ids already down for this cause; running hosts
+        join it until it holds ``ceil(fraction * len(group))`` ids -- a
+        fraction of every host in the group, running or not.  Returns
+        that target.
+        """
+        hosts = sorted(self.fleet.hosts_in_group(group), key=lambda h: h.host_id)
+        target = int(math.ceil(fraction * len(hosts)))
+        for host in hosts:
+            if len(shed) >= target:
+                break
+            if host.state is HostState.RUNNING and host.host_id not in shed:
+                self.power_down(host, now, reason=reason)
+                shed.append(host.host_id)
+        return target
+
     # ------------------------------------------------------------------
-    # Raw host choke points (the plant controllers route through these
-    # so every power transition crosses one audited surface).
+    # Raw host choke points (the paper plant routes through these so
+    # every power transition crosses one audited surface).
     # ------------------------------------------------------------------
     def power_down(self, host: Host, now: float, reason: str) -> None:
         host.power_down(now, reason=reason)
@@ -233,6 +252,7 @@ class ActuatorBus:
             "fan_duty": self.fan_duty,
             "fan_severity": self.fan_severity,
             "blockage": self.blockage,
+            "ice": self.ice,
             "crac_setpoint_c": self.crac_setpoint_c,
             "dvfs_scale": self.dvfs_scale,
             "shed": list(self._shed),
@@ -244,6 +264,7 @@ class ActuatorBus:
         self.fan_duty = float(state["fan_duty"])
         self.fan_severity = float(state["fan_severity"])
         self.blockage = float(state["blockage"])
+        self.ice = float(state.get("ice", 0.0))
         crac = state["crac_setpoint_c"]
         self.crac_setpoint_c = None if crac is None else float(crac)
         self.dvfs_scale = float(state["dvfs_scale"])

@@ -102,7 +102,9 @@ class ControlPlane:
         tent = self.fleet.tent
         basement = self.fleet.basement
         running, shed = self.fleet.host_census()
-        tripped = bool(self.plant.tripped) if self.plant is not None else False
+        tripped = (
+            bool(self.plant.cohort.tripped[0]) if self.plant is not None else False
+        )
         energy = self.powermeter.energy_kwh if self.powermeter is not None else 0.0
         return ControlObservation(
             time_s=float(now),

@@ -182,6 +182,7 @@ class Campaign:
                 self.fleet,
                 plant_faults,
                 trip_policy,
+                start_s=self.clock.to_seconds(config.test_start),
                 bus=self.bus,
                 actuators=self.control.actuators,
             )

@@ -425,7 +425,7 @@ class FleetScaleCampaign:
         for feed in plant.feed_dropped_now:
             self._drop_feed(feed)
         for feed in plant.feed_restored_now:
-            self._restore_feed(feed)
+            self._restore(self._feed_slice(feed), _SHED_FEED, "feed")
 
     def _frame_thermal(self) -> None:
         dt = self.tick_interval_s
@@ -471,7 +471,7 @@ class FleetScaleCampaign:
         for pod, stage, fraction in shed:
             self._shed_pod(pod, stage, fraction, now)
         for pod in restore:
-            self._restore_pod(pod, now)
+            self._restore(self._pod_slice(pod), _SHED_TRIP, "trip")
         if self._n_shed:
             plant.host_hours_shed += self._n_shed * dt / 3600.0
 
@@ -503,6 +503,10 @@ class FleetScaleCampaign:
                 self.pod[idx], weights=self.avg_power_w[idx], minlength=self.n_pods
             )
 
+    def _pod_slice(self, pod: int) -> slice:
+        lo = pod * POD_SIZE
+        return slice(lo, min(self.n_hosts, lo + POD_SIZE))
+
     def _feed_slice(self, feed: int) -> slice:
         span = FEED_GROUP_PODS * POD_SIZE
         return slice(feed * span, min(self.n_hosts, (feed + 1) * span))
@@ -516,15 +520,15 @@ class FleetScaleCampaign:
         now = self.sim.now
         pods, counts = np.unique(self.pod[idx], return_counts=True)
         for pod, count in zip(pods, counts):
-            self.plant._publish(
+            self.plant.publish(
                 ev.LoadShed(
                     time=now, pod=int(pod), hosts=int(count), stage=0, reason="feed"
                 )
             )
 
-    def _restore_feed(self, feed: int) -> None:
-        seg = self._feed_slice(feed)
-        mask = (self.state[seg] == SHED) & (self.shed_reason[seg] == _SHED_FEED)
+    def _restore(self, seg: slice, cause: int, reason: str) -> None:
+        """Power back up the hosts in ``seg`` that were shed for ``cause``."""
+        mask = (self.state[seg] == SHED) & (self.shed_reason[seg] == cause)
         idx = np.flatnonzero(mask) + seg.start
         if not len(idx):
             return
@@ -532,9 +536,9 @@ class FleetScaleCampaign:
         now = self.sim.now
         pods, counts = np.unique(self.pod[idx], return_counts=True)
         for pod, count in zip(pods, counts):
-            self.plant._publish(
+            self.plant.publish(
                 ev.LoadRestored(
-                    time=now, pod=int(pod), hosts=int(count), reason="feed"
+                    time=now, pod=int(pod), hosts=int(count), reason=reason
                 )
             )
 
@@ -544,8 +548,7 @@ class FleetScaleCampaign:
         Lowest host index first, so serial and ``--jobs N`` runs shed
         the same hosts.
         """
-        lo = pod * POD_SIZE
-        seg = slice(lo, min(self.n_hosts, lo + POD_SIZE))
+        seg = self._pod_slice(pod)
         tent = self.tent_mask[seg]
         target = int(math.ceil(fraction * int(tent.sum())))
         already = int(
@@ -554,28 +557,16 @@ class FleetScaleCampaign:
         need = target - already
         if need <= 0:
             return
-        candidates = np.flatnonzero(tent & (self.state[seg] == RUNNING)) + lo
+        candidates = np.flatnonzero(tent & (self.state[seg] == RUNNING)) + seg.start
         idx = candidates[:need]
         if not len(idx):
             return
         self._apply_shed(idx, _SHED_TRIP)
-        self.plant._publish(
+        self.plant.publish(
             ev.LoadShed(
                 time=now, pod=int(pod), hosts=int(len(idx)), stage=int(stage),
                 reason="trip",
             )
-        )
-
-    def _restore_pod(self, pod: int, now: float) -> None:
-        lo = pod * POD_SIZE
-        seg = slice(lo, min(self.n_hosts, lo + POD_SIZE))
-        mask = (self.state[seg] == SHED) & (self.shed_reason[seg] == _SHED_TRIP)
-        idx = np.flatnonzero(mask) + lo
-        if not len(idx):
-            return
-        self._apply_restore(idx)
-        self.plant._publish(
-            ev.LoadRestored(time=now, pod=int(pod), hosts=int(len(idx)), reason="trip")
         )
 
     def _frame_hazards(self) -> None:
@@ -779,19 +770,11 @@ class FleetScaleCampaign:
         """The survival census (None when the chaos plane is unarmed)."""
         if self.plant is None:
             return None
-        p = self.plant
-        return {
-            "faults_injected": p.faults_injected,
-            "faults_repaired": p.faults_repaired,
-            "trips": p.trips,
-            "trip_clears": p.trip_clears,
-            "hosts_shed": p.hosts_shed,
-            "hosts_restored": p.hosts_restored,
-            "hosts_shed_now": self._n_shed,
-            "host_hours_shed": round(p.host_hours_shed, 3),
-            "excursion_minutes": round(p.excursion_minutes, 3),
-            "hosts_lost": p.hosts_lost,
-        }
+        census = self.plant.census
+        census["hosts_shed_now"] = self._n_shed
+        for name in ("host_hours_shed", "excursion_minutes"):
+            census[name] = round(census[name], 3)
+        return census
 
     def summary(self) -> Dict[str, Any]:
         mean_tent = self._tent_temp_sum / self._ticks if self._ticks else math.nan

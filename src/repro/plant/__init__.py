@@ -9,10 +9,12 @@ shedding, the emergency flap).
 - :mod:`repro.plant.faults` -- the fault grammar (:class:`PlantFaultPlan`)
   and the physics constants of degraded airflow,
 - :mod:`repro.plant.trip` -- :class:`ThermalTripPolicy`,
-- :mod:`repro.plant.fleet` -- :class:`FleetPlant`, the vectorized plane
-  for ``FleetScaleCampaign`` cohorts,
-- :mod:`repro.plant.controller` -- :class:`PlantController`, the scalar
-  plane for the 19-host paper campaign.
+- :mod:`repro.plant.fleet` -- :class:`FleetPlant`, the one fault and
+  trip state machine, vectorized over a cohort's pods; it runs
+  ``FleetScaleCampaign`` cohorts and the paper site alike,
+- :mod:`repro.plant.controller` -- :class:`PlantController`, which runs
+  the 19-host paper campaign's plant as a 1-pod ``FleetPlant`` and maps
+  its transitions onto the campaign's hosts.
 """
 
 from repro.plant.controller import PlantController

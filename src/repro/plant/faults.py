@@ -76,8 +76,6 @@ DEFAULT_REPAIR_S: Dict[PlantFaultKind, float] = {
 
 #: Kinds whose failure domain is a pod index.
 POD_SCOPED = (PlantFaultKind.FAN_FAILURE, PlantFaultKind.INTAKE_BLOCKAGE)
-#: Kinds that hit the whole site regardless of domain.
-SITE_SCOPED = (PlantFaultKind.CRAC_OUTAGE, PlantFaultKind.HEATER_LOSS)
 
 
 def _parse_duration(text: str, clause: str) -> float:
@@ -377,20 +375,18 @@ AIRFLOW_FLOOR = 0.05
 ICE_ACCRETION_PER_H = 0.08
 ICE_SEVERITY_CAP = 0.9
 
-#: CRAC outage: the machine room relaxes toward outside + approach
-#: with this first-order time constant.
-CRAC_TAU_S = 3600.0
-CRAC_OUTAGE_APPROACH_C = 16.0
-
 
 def airflow_factors(
-    fan_severity: float, blockage_severity: float, flap_open: bool
+    fan_severity: float,
+    blockage_severity: float,
+    flap_open: bool,
+    ice_severity: float = 0.0,
 ) -> Tuple[float, float]:
     """Compose (ua_factor, ach_factor) for one pod's airflow state.
 
     Multiplicative composition with a floor: a dead fan behind a
     blocked intake is worse than either alone, but never a perfect
-    seal.
+    seal.  Intake ice chokes like a second blockage.
     """
     ua = 1.0
     ach = 1.0
@@ -400,6 +396,9 @@ def airflow_factors(
     if blockage_severity > 0.0:
         ua *= 1.0 - BLOCKAGE_UA_LOSS * blockage_severity
         ach *= 1.0 - BLOCKAGE_ACH_LOSS * blockage_severity
+    if ice_severity > 0.0:
+        ua *= 1.0 - BLOCKAGE_UA_LOSS * ice_severity
+        ach *= 1.0 - BLOCKAGE_ACH_LOSS * ice_severity
     if flap_open:
         ua *= FLAP_UA_GAIN
         ach *= FLAP_ACH_GAIN

@@ -1,13 +1,22 @@
-"""Vectorized plant state for the fleet-scale batch campaign.
+"""The plant-fault and protective-trip state machine, one cohort of pods.
 
-:class:`FleetPlant` owns everything the chaos plane adds to
-``FleetScaleCampaign``: the fault schedule cursor, per-pod airflow
-degradation, the power-feed masks, CRAC/heater site state, the
-per-pod protective-trip state machine, and the survival-census
-counters.  The campaign calls :meth:`advance` once per frame (after
-weather, before thermal) and :meth:`evaluate` after thermal; both are
-pure vector arithmetic plus short python loops over *transitions*
-(faults striking, trips firing), which are rare by construction.
+:class:`FleetPlant` is the only implementation of plant state in the
+repository.  It owns the fault schedule cursor, storm sampling, fault
+activation and repair expiry, intake ice, the composed per-pod airflow
+factors, CRAC up/down, the per-pod trip stages and emergency flap, and
+the survival-census counters.  ``FleetScaleCampaign`` runs it over
+thousands of pods; the paper campaign runs it as a 1-pod cohort with
+its two feed groups through :class:`~repro.plant.controller.PlantController`.
+The caller calls :meth:`advance` once per frame (after weather, before
+thermal) and :meth:`evaluate` after thermal, then acts on the feed
+transitions and the ``(shed, restore)`` lists against its own hosts.
+
+Both passes are vector arithmetic plus short python loops over
+*transitions* (faults striking, trips firing), which are rare by
+construction, and an idle frame skips most of it: expiry waits for the
+earliest live repair deadline, airflow factors are only recomposed after
+a transition, and trip evaluation returns at once while no pod is hot,
+tripped or due to restore.
 
 Determinism: storm coins are stateless (pure functions of
 ``(seed, kind, domain, day)``, see :class:`~repro.plant.faults.PlantStorm`),
@@ -28,8 +37,6 @@ from repro.plant.faults import (
     BLOCKAGE_ACH_LOSS,
     BLOCKAGE_UA_LOSS,
     AIRFLOW_FLOOR,
-    CRAC_OUTAGE_APPROACH_C,
-    CRAC_TAU_S,
     DAY_S,
     FAN_ACH_LOSS,
     FAN_UA_LOSS,
@@ -45,12 +52,31 @@ from repro.plant.faults import (
 )
 from repro.plant.trip import ThermalTripPolicy
 from repro.sim import events as ev
+from repro.thermal.enclosure import crac_room_temp
 
 _INACTIVE = -math.inf
 
+#: The survival-census counters, in snapshot order.
+CENSUS_FIELDS = (
+    "faults_injected",
+    "faults_repaired",
+    "trips",
+    "trip_clears",
+    "hosts_shed",
+    "hosts_restored",
+    "host_hours_shed",
+    "excursion_minutes",
+    "hosts_lost",
+)
+
 
 class FleetPlant:
-    """Chaos-plane state for one fleet-scale cohort of ``n_pods`` pods."""
+    """Plant state for one cohort of ``n_pods`` pods on ``n_feeds`` feeds.
+
+    ``n_feeds`` comes from the caller's topology; it defaults to the
+    fleet-scale grouping of :data:`~repro.plant.faults.FEED_GROUP_PODS`
+    pods per feed.
+    """
 
     STATE_VERSION = 1
 
@@ -61,11 +87,14 @@ class FleetPlant:
         n_pods: int,
         start_s: float,
         bus: Optional[ev.EventBus] = None,
+        n_feeds: Optional[int] = None,
     ) -> None:
         self.plan = plan if plan is not None else PlantFaultPlan()
         self.policy = policy
         self.n_pods = int(n_pods)
-        self.n_feeds = (self.n_pods + FEED_GROUP_PODS - 1) // FEED_GROUP_PODS
+        if n_feeds is None:
+            n_feeds = (self.n_pods + FEED_GROUP_PODS - 1) // FEED_GROUP_PODS
+        self.n_feeds = int(n_feeds)
         self._start_s = float(start_s)
         self.bus = bus
 
@@ -94,20 +123,36 @@ class FleetPlant:
         self.restore_at = np.full(self.n_pods, np.inf)
         self.flap = np.zeros(self.n_pods, dtype=np.bool_)
 
-        # Composed airflow factors (recomputed each advance).
+        # Composed airflow inputs and factors, recomputed only after a
+        # transition (a strike, a repair, ice growth, a flap move).
+        self.fan_level = np.zeros(self.n_pods)
+        self.block_level = np.zeros(self.n_pods)
         self.ua_factor = np.ones(self.n_pods)
         self.ach_factor = np.ones(self.n_pods)
+        self._factors_stale = False
+
+        #: Intake line for excursion minutes and trips (45 degC unarmed).
+        self.excursion_c = policy.trip_c if policy is not None else 45.0
+
+        # Idle-frame gates: no repair falls due before _next_deadline, and
+        # with no pod hot or tripped the trip state machine has nothing
+        # to do before the earliest cool-down ends (_next_restore).
+        self._next_deadline = math.inf
+        self._tripped_any = False
+        self._next_restore = math.inf
 
         # Fault-schedule cursors.
         self._next_fault = 0  # into plan.faults (sorted by start_day)
         self._storm_day = 0  # next day index to sample
         self._pending: List[Tuple[float, PlantFault]] = []
 
-        # Feed transitions from the last advance (feed indices).
+        # Feed transitions from the last advance (feed indices), and the
+        # feeds' down mask from before its first feed strike.
         self.feed_dropped_now: List[int] = []
         self.feed_restored_now: List[int] = []
+        self._feed_was_down: Optional[np.ndarray] = None
 
-        # Survival census counters.
+        # Survival census counters (CENSUS_FIELDS).
         self.faults_injected = 0
         self.faults_repaired = 0
         self.trips = 0
@@ -118,10 +163,15 @@ class FleetPlant:
         self.excursion_minutes = 0.0
         self.hosts_lost = 0
 
+    @property
+    def census(self) -> Dict[str, float]:
+        """The survival-census counters by name."""
+        return {name: getattr(self, name) for name in CENSUS_FIELDS}
+
     # ------------------------------------------------------------------
     # Fault schedule
     # ------------------------------------------------------------------
-    def _publish(self, event: ev.Event) -> None:
+    def publish(self, event: ev.Event) -> None:
         if self.bus is not None:
             self.bus.publish(event)
 
@@ -163,47 +213,40 @@ class FleetPlant:
             return  # struck and repaired entirely between frames
         kind = fault.kind
         domain = -1
-        if kind is PlantFaultKind.FAN_FAILURE:
-            if fault.pod is None:
-                self.fan_all_until = max(self.fan_all_until, until)
-                self.fan_all_severity = max(self.fan_all_severity, fault.severity)
-            elif fault.pod < self.n_pods:
-                domain = fault.pod
-                self.fan_until[domain] = max(self.fan_until[domain], until)
-                self.fan_severity[domain] = max(
-                    self.fan_severity[domain], fault.severity
-                )
-            else:
+        if kind in POD_SCOPED and fault.pod is not None:
+            if fault.pod >= self.n_pods:
                 return  # targets a pod this cohort does not have
+            domain = fault.pod
+            fan = kind is PlantFaultKind.FAN_FAILURE
+            until_arr = self.fan_until if fan else self.block_until
+            severity_arr = self.fan_severity if fan else self.block_severity
+            until_arr[domain] = max(until_arr[domain], until)
+            severity_arr[domain] = max(severity_arr[domain], fault.severity)
+        elif kind is PlantFaultKind.FAN_FAILURE:
+            self.fan_all_until = max(self.fan_all_until, until)
+            self.fan_all_severity = max(self.fan_all_severity, fault.severity)
         elif kind is PlantFaultKind.INTAKE_BLOCKAGE:
-            if fault.pod is None:
-                self.block_all_until = max(self.block_all_until, until)
-                self.block_all_severity = max(
-                    self.block_all_severity, fault.severity
-                )
-            elif fault.pod < self.n_pods:
-                domain = fault.pod
-                self.block_until[domain] = max(self.block_until[domain], until)
-                self.block_severity[domain] = max(
-                    self.block_severity[domain], fault.severity
-                )
-            else:
-                return
+            self.block_all_until = max(self.block_all_until, until)
+            self.block_all_severity = max(self.block_all_severity, fault.severity)
         elif kind is PlantFaultKind.CRAC_OUTAGE:
             self.crac_until = max(self.crac_until, until)
             self.crac_recovering = False
         elif kind is PlantFaultKind.HEATER_LOSS:
             self.heater_until = max(self.heater_until, until)
         elif kind is PlantFaultKind.FEED_DROP:
+            if fault.feed is not None and fault.feed >= self.n_feeds:
+                return
+            if self._feed_was_down is None:
+                self._feed_was_down = self.feed_until > now
             if fault.feed is None:
                 self.feed_until[:] = np.maximum(self.feed_until, until)
-            elif fault.feed < self.n_feeds:
+            else:
                 domain = fault.feed
                 self.feed_until[domain] = max(self.feed_until[domain], until)
-            else:
-                return
+        self._next_deadline = min(self._next_deadline, until)
+        self._factors_stale = True
         self.faults_injected += 1
-        self._publish(
+        self.publish(
             ev.PlantFaultInjected(
                 time=now,
                 kind=kind.value,
@@ -222,7 +265,7 @@ class FleetPlant:
             expired = np.isfinite(arr_until) & (arr_until <= now)
             for pod in np.flatnonzero(expired):
                 self.faults_repaired += 1
-                self._publish(
+                self.publish(
                     ev.PlantFaultRepaired(time=now, kind=kind.value, domain=int(pod))
                 )
             arr_until[expired] = _INACTIVE
@@ -231,45 +274,58 @@ class FleetPlant:
             self.fan_all_until = _INACTIVE
             self.fan_all_severity = 0.0
             self.faults_repaired += 1
-            self._publish(ev.PlantFaultRepaired(time=now, kind="fan", domain=-1))
+            self.publish(ev.PlantFaultRepaired(time=now, kind="fan", domain=-1))
         if math.isfinite(self.block_all_until) and self.block_all_until <= now:
             self.block_all_until = _INACTIVE
             self.block_all_severity = 0.0
             self.faults_repaired += 1
-            self._publish(ev.PlantFaultRepaired(time=now, kind="intake", domain=-1))
+            self.publish(ev.PlantFaultRepaired(time=now, kind="intake", domain=-1))
         if math.isfinite(self.crac_until) and self.crac_until <= now:
             self.crac_until = _INACTIVE
             self.crac_recovering = True
             self.faults_repaired += 1
-            self._publish(ev.PlantFaultRepaired(time=now, kind="crac", domain=-1))
+            self.publish(ev.PlantFaultRepaired(time=now, kind="crac", domain=-1))
         if math.isfinite(self.heater_until) and self.heater_until <= now:
             self.heater_until = _INACTIVE
             self.ice_severity = 0.0  # crew clears the accreted ice too
             self.faults_repaired += 1
-            self._publish(ev.PlantFaultRepaired(time=now, kind="heater", domain=-1))
+            self.publish(ev.PlantFaultRepaired(time=now, kind="heater", domain=-1))
         expired = np.isfinite(self.feed_until) & (self.feed_until <= now)
         for feed in np.flatnonzero(expired):
             self.faults_repaired += 1
             self.feed_restored_now.append(int(feed))
-            self._publish(
+            self.publish(
                 ev.PlantFaultRepaired(time=now, kind="feed", domain=int(feed))
             )
         self.feed_until[expired] = _INACTIVE
+        self._next_deadline = self._earliest_deadline()
+        self._factors_stale = True
 
-    def advance(self, now: float, dt_s: float, outside_c: float) -> None:
+    def _earliest_deadline(self) -> float:
+        """The soonest live repair deadline (``inf`` with nothing active)."""
+        scalars = (
+            self.fan_all_until, self.block_all_until, self.crac_until, self.heater_until
+        )
+        deadlines = np.concatenate(
+            (self.fan_until, self.block_until, self.feed_until, scalars)
+        )
+        live = deadlines[deadlines != _INACTIVE]
+        return float(live.min()) if live.size else math.inf
+
+    def advance(self, now: float, dt_s: float, outside_c: float) -> bool:
         """One frame of fault-schedule progress.
 
         Samples any newly reached storm days, activates due faults,
         expires due repairs, accretes intake ice when the heater is
         down in sub-zero air, and recomposes the per-pod airflow
-        factors.  Feed transitions land in :attr:`feed_dropped_now` /
+        factors if any of that changed them (then returns True).  Feed
+        transitions land in :attr:`feed_dropped_now` /
         :attr:`feed_restored_now` for the campaign to act on.
         """
         self.feed_dropped_now = []
         self.feed_restored_now = []
         self._sample_storms(now)
 
-        feed_was_down = self.feed_until > now  # before new activations
         faults = self.plan.faults
         while self._next_fault < len(faults):
             fault = faults[self._next_fault]
@@ -281,11 +337,14 @@ class FleetPlant:
         while self._pending and self._pending[0][0] <= now:
             start, fault = self._pending.pop(0)
             self._activate(fault, start, now)
-        self._expire(now)
+        if now >= self._next_deadline:
+            self._expire(now)
 
-        feed_down = self.feed_until > now
-        for feed in np.flatnonzero(feed_down & ~feed_was_down):
-            self.feed_dropped_now.append(int(feed))
+        if self._feed_was_down is not None:
+            feed_down = self.feed_until > now
+            for feed in np.flatnonzero(feed_down & ~self._feed_was_down):
+                self.feed_dropped_now.append(int(feed))
+            self._feed_was_down = None
 
         # Ice accretion on the unheated intake path.
         if self.heater_until > now and outside_c < 0.0:
@@ -293,8 +352,12 @@ class FleetPlant:
                 ICE_SEVERITY_CAP,
                 self.ice_severity + ICE_ACCRETION_PER_H * dt_s / 3600.0,
             )
+            self._factors_stale = True
 
+        if not self._factors_stale:
+            return False
         self._compose_factors(now)
+        return True
 
     def _compose_factors(self, now: float) -> None:
         fan = np.where(self.fan_until > now, self.fan_severity, 0.0)
@@ -311,8 +374,16 @@ class FleetPlant:
         if self.flap.any():
             ua = np.where(self.flap, ua * FLAP_UA_GAIN, ua)
             ach = np.where(self.flap, ach * FLAP_ACH_GAIN, ach)
+        self.fan_level = fan
+        self.block_level = block
         self.ua_factor = np.maximum(ua, AIRFLOW_FLOOR)
         self.ach_factor = np.maximum(ach, AIRFLOW_FLOOR)
+        self._factors_stale = False
+
+    def airflow_inputs(self, pod: int) -> Tuple[float, float, float]:
+        """One pod's composed ``(fan, blockage, ice)`` severities."""
+        fan, block = self.fan_level[pod], self.block_level[pod]
+        return float(fan), float(block), self.ice_severity
 
     @property
     def degraded(self) -> bool:
@@ -334,21 +405,13 @@ class FleetPlant:
         """Machine-room temperature given the CRAC's state.
 
         Healthy: the analytic setpoint curve, untouched (the byte-
-        identity fast path).  During an outage the room relaxes first-
-        order toward ``outside + approach``; after repair it relaxes
-        back and snaps onto the curve within 0.05 degC.
+        identity fast path).  Otherwise the room drifts as
+        :func:`~repro.thermal.enclosure.crac_room_temp` says.
         """
-        if self.crac_down(now):
-            target = outside_c + CRAC_OUTAGE_APPROACH_C
-        elif self.crac_recovering:
-            target = analytic_c
-        else:
-            return analytic_c
-        blend = 1.0 - math.exp(-dt_s / CRAC_TAU_S)
-        temp = prev_c + blend * (target - prev_c)
-        if self.crac_recovering and abs(temp - analytic_c) < 0.05:
-            self.crac_recovering = False
-            return analytic_c
+        temp, self.crac_recovering = crac_room_temp(
+            prev_c, analytic_c, outside_c, dt_s, self.crac_down(now),
+            self.crac_recovering,
+        )
         return temp
 
     # ------------------------------------------------------------------
@@ -364,11 +427,13 @@ class FleetPlant:
         (re)applied, ``restore`` lists pods whose trip-shed hosts are
         due to power back up.
         """
+        if self.trip_idle(now, float(pod_intake_c.max())):
+            return [], []
         pol = self.policy
-        threshold = pol.trip_c if pol is not None else 45.0
-        hot = pod_intake_c >= threshold
-        if hot.any():
-            self.excursion_minutes += float(hot.sum()) * dt_s / 60.0
+        hot = pod_intake_c >= self.excursion_c
+        n_hot = np.count_nonzero(hot)
+        if n_hot:
+            self.excursion_minutes += float(n_hot) * dt_s / 60.0
         if pol is None:
             return [], []
 
@@ -386,14 +451,15 @@ class FleetPlant:
             self.restore_at[p] = np.inf
             self.trips += 1
             stage = int(self.stage[p])
-            self._publish(
+            self.publish(
                 ev.ThermalTrip(
                     time=now, pod=p, intake_c=float(intake[p]), stage=stage
                 )
             )
             if pol.emergency_flap and not self.flap[p]:
                 self.flap[p] = True
-                self._publish(ev.EmergencyFlapOpened(time=now, pod=p))
+                self._factors_stale = True
+                self.publish(ev.EmergencyFlapOpened(time=now, pod=p))
             shed.append((p, stage, pol.stage_fraction(stage)))
 
         escalate = (
@@ -407,7 +473,7 @@ class FleetPlant:
             self.stage[p] += 1
             self.stage_deadline[p] = now + pol.stage_hold_s
             stage = int(self.stage[p])
-            self._publish(
+            self.publish(
                 ev.ThermalTrip(
                     time=now, pod=p, intake_c=float(intake[p]), stage=stage
                 )
@@ -421,12 +487,12 @@ class FleetPlant:
             self.stage_deadline[p] = np.inf
             self.restore_at[p] = now + pol.cooldown_s
             self.trip_clears += 1
-            self._publish(
+            self.publish(
                 ev.ThermalTripCleared(time=now, pod=p, intake_c=float(intake[p]))
             )
             if self.flap[p]:
                 self.flap[p] = False
-                self._publish(ev.EmergencyFlapClosed(time=now, pod=p))
+                self.publish(ev.EmergencyFlapClosed(time=now, pod=p))
 
         due = (~self.tripped) & (self.stage > 0) & (self.restore_at <= now)
         for pod in np.flatnonzero(due):
@@ -437,7 +503,25 @@ class FleetPlant:
 
         if clear.any() or due.any():
             self._compose_factors(now)  # flap changes feed back into airflow
+        self._update_trip_gates()
         return shed, restore
+
+    def trip_idle(self, now: float, hottest_c: float) -> bool:
+        """Would :meth:`evaluate` do nothing this frame?
+
+        True while the hottest pod intake is below :attr:`excursion_c`,
+        no pod is tripped and no cool-down has run out: then nothing can
+        fire, escalate, clear, restore or count as an excursion.
+        """
+        return (
+            hottest_c < self.excursion_c
+            and not self._tripped_any
+            and now < self._next_restore
+        )
+
+    def _update_trip_gates(self) -> None:
+        self._tripped_any = bool(self.tripped.any())
+        self._next_restore = float(self.restore_at.min())
 
     def incident_pods(self, now: float) -> np.ndarray:
         """Pods currently inside an incident (for loss attribution)."""
@@ -487,17 +571,7 @@ class FleetPlant:
             "pending": [
                 [start, encode_value(fault)] for start, fault in self._pending
             ],
-            "census": [
-                self.faults_injected,
-                self.faults_repaired,
-                self.trips,
-                self.trip_clears,
-                self.hosts_shed,
-                self.hosts_restored,
-                self.host_hours_shed,
-                self.excursion_minutes,
-                self.hosts_lost,
-            ],
+            "census": [getattr(self, name) for name in CENSUS_FIELDS],
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -529,17 +603,11 @@ class FleetPlant:
             (float(start), decode_value(fault))
             for start, fault in state["pending"]
         ]
-        (
-            self.faults_injected,
-            self.faults_repaired,
-            self.trips,
-            self.trip_clears,
-            self.hosts_shed,
-            self.hosts_restored,
-            self.host_hours_shed,
-            self.excursion_minutes,
-            self.hosts_lost,
-        ) = state["census"]
+        for name, value in zip(CENSUS_FIELDS, state["census"]):
+            setattr(self, name, value)
         self.feed_dropped_now = []
         self.feed_restored_now = []
-        self._compose_factors(-math.inf)  # factors rebuilt on next advance
+        self._feed_was_down = None
+        self._next_deadline = self._earliest_deadline()
+        self._update_trip_gates()
+        self._compose_factors(-math.inf)

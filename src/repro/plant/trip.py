@@ -9,16 +9,17 @@ state machine per pod:
   open the emergency flap (if configured), and shed the first stage of
   load (power hosts down, lowest host index first).
 - **escalate** — still above ``trip_c`` after ``stage_hold_s``: shed
-  the next stage.  Stages are cumulative fractions of the pod's
-  running hosts at evaluation time; the last stage is usually 1.0
-  (everything off).
+  the next stage.  Stages are cumulative fractions of the pod's tent
+  hosts, running or not: a stage with fraction ``f`` keeps
+  ``ceil(f * tent hosts in the pod)`` hosts shed.  The last stage is
+  usually 1.0 (everything off).
 - **clear** — intake fell below ``clear_c`` (hysteresis gap): publish
   ``ThermalTripCleared``, close the flap, and arm a restore timer.
 - **restore** — ``cooldown_s`` after clearing, shed hosts power back
   up (``LoadRestored``).
 
 The policy object itself is a frozen value: all mutable state lives in
-the plant controllers so it snapshots with the campaign.
+:class:`~repro.plant.fleet.FleetPlant` so it snapshots with the campaign.
 """
 
 from __future__ import annotations

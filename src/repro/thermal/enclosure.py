@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.climate.generator import WeatherGenerator
 from repro.sim.clock import DAY
@@ -26,6 +26,39 @@ from repro.state.protocol import check_version
 from repro.thermal.heatbalance import LumpedThermalNode, MoistureNode
 
 _STATE_VERSION = 1
+
+#: First-order time constant of a machine room's drift while its CRAC is out.
+CRAC_TAU_S = 3600.0
+#: Outside-air approach an unconditioned machine room settles toward.
+CRAC_OUTAGE_APPROACH_C = 16.0
+
+
+def crac_room_temp(
+    prev_c: float,
+    setpoint_c: float,
+    outside_c: float,
+    dt_s: float,
+    failed: bool,
+    recovering: bool,
+) -> Tuple[float, bool]:
+    """One step of a CRAC-conditioned room: ``(temp_c, still_recovering)``.
+
+    A healthy CRAC holds ``setpoint_c`` exactly.  With the CRAC out the
+    room relaxes first-order toward ``outside_c + CRAC_OUTAGE_APPROACH_C``;
+    after repair it relaxes back and snaps onto the setpoint within
+    0.05 degC.  ``outside_c`` is only read while ``failed``.
+    """
+    if failed:
+        target = outside_c + CRAC_OUTAGE_APPROACH_C
+    elif recovering:
+        target = setpoint_c
+    else:
+        return setpoint_c, False
+    blend = 1.0 - math.exp(-dt_s / CRAC_TAU_S)
+    temp = prev_c + blend * (target - prev_c)
+    if recovering and abs(temp - setpoint_c) < 0.05:
+        return setpoint_c, False
+    return temp, recovering
 
 
 class Enclosure(abc.ABC):
@@ -199,17 +232,12 @@ class BasementMachineRoom(Enclosure):
     setpoint regardless of the (small) IT load; only a faint diurnal wiggle
     remains.
 
-    The chaos plane can take the CRAC away (:meth:`fail_crac`): the room
-    then relaxes first-order toward outside air plus an approach offset;
-    after :meth:`repair_crac` it relaxes back and snaps onto the setpoint
-    curve.  While the CRAC is healthy the update stays the pure analytic
-    setpoint expression, byte-identical to the historical model.
+    The chaos plane can take the CRAC away (:meth:`fail_crac`) and give it
+    back (:meth:`repair_crac`); :func:`crac_room_temp` is the drift, the
+    same one the fleet-scale basement runs.  While the CRAC is healthy the
+    update stays the pure analytic setpoint expression, byte-identical to
+    the historical model.
     """
-
-    #: First-order time constant of the room's drift when the CRAC is out.
-    CRAC_TAU_S = 3600.0
-    #: Outside-air approach the unconditioned room settles toward.
-    CRAC_OUTAGE_APPROACH_C = 16.0
 
     def __init__(
         self,
@@ -248,20 +276,16 @@ class BasementMachineRoom(Enclosure):
     def _update(self, time: float, dt_s: float) -> None:
         phase = 2.0 * math.pi * (time % DAY) / DAY
         setpoint = self.setpoint_c + self.diurnal_wiggle_c * math.sin(phase)
-        if self._crac_failed or self._crac_recovering:
-            if self._crac_failed:
-                outside = self.weather.sample(time).temp_c
-                target = outside + self.CRAC_OUTAGE_APPROACH_C
-            else:
-                target = setpoint
-            blend = 1.0 - math.exp(-dt_s / self.CRAC_TAU_S) if dt_s > 0 else 0.0
-            temp = self.intake_temp_c + blend * (target - self.intake_temp_c)
-            if self._crac_recovering and abs(temp - setpoint) < 0.05:
-                self._crac_recovering = False
-                temp = setpoint
-            self.intake_temp_c = temp
-        else:
-            self.intake_temp_c = setpoint
+        # Outside air only matters (and is only sampled) while the CRAC is out.
+        outside = self.weather.sample(time).temp_c if self._crac_failed else math.nan
+        self.intake_temp_c, self._crac_recovering = crac_room_temp(
+            self.intake_temp_c,
+            setpoint,
+            outside,
+            dt_s,
+            self._crac_failed,
+            self._crac_recovering,
+        )
         self.intake_rh_percent = self.setpoint_rh_percent + self.diurnal_wiggle_rh * math.sin(
             phase + 1.0
         )

@@ -95,6 +95,16 @@ class TestIdempotence:
         assert bus.blockage == 0.2
         bus.set_plant_degradation(0.0, 0.0)
 
+    def test_ice_and_blockage_compose_multiplicatively(self, bus):
+        tent = bus.fleet.tent
+        bus.set_plant_degradation(0.0, 0.5)
+        blocked = tent.plant_ua_factor
+        bus.set_plant_degradation(0.0, 0.5, ice=0.5)
+        assert bus.ice == 0.5
+        assert tent.plant_ua_factor == pytest.approx(blocked * blocked)
+        bus.set_plant_degradation(0.0, 0.0)
+        assert tent.plant_ua_factor == 1.0
+
     def test_untouched_bus_reports_defaults(self, bus):
         assert bus.flap_open is False
         assert bus.fan_duty == 0.0

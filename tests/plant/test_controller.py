@@ -28,6 +28,7 @@ from repro.plant.trip import ThermalTripPolicy
 from repro.runner.records import record_from_results
 from repro.sim import events as ev
 from repro.sim.events import EventRecorder
+from repro.state.protocol import StateError
 
 PLAN = "intake:blockage@day1,repair=5d,severity=1.0; crac:outage@day1,repair=5d"
 POLICY = "trip=10,clear=4,shed=0.5+1.0,hold=30m,cooldown=12h"
@@ -111,7 +112,7 @@ class TestKillAndResumeMidOutage:
         # The cut really was mid-incident: hosts shed, CRAC still down.
         assert mid.plant is not None
         assert mid.plant.shed_host_count() > 0
-        assert mid.plant.crac_until > mid.sim.now
+        assert mid.plant.cohort.crac_until > mid.sim.now
         # The plan and policy rode inside the checkpoint.
         assert mid._plant_faults == PlantFaultPlan.parse(PLAN)
         assert mid._trip_policy == ThermalTripPolicy.parse(POLICY)
@@ -148,6 +149,46 @@ class TestUnscopedFeedDrop:
         repaired = recorder.of_type(ev.PlantFaultRepaired)
         assert sorted(e.domain for e in repaired) == [0, 1]
         assert campaign.plant.shed_host_count() == 0
+
+
+class TestOldPlantStateRefused:
+    """A checkpoint holding the old two-copy plant state is refused whole."""
+
+    #: The shape of a version-1 ``PlantController`` state, which carried
+    #: its own scalar copy of the fault and trip state machine.
+    LEGACY_STATE = {
+        "version": 1,
+        "start_s": 0.0,
+        "last_now": None,
+        "tick_task_id": None,
+        "fan": [float("-inf"), 0.0],
+        "block": [float("-inf"), 0.0],
+        "crac_until": float("-inf"),
+        "heater": [float("-inf"), 0.0],
+        "feed_until": [float("-inf"), float("-inf")],
+        "trip": {
+            "tripped": False,
+            "stage": 0,
+            "stage_deadline": float("inf"),
+            "restore_at": float("inf"),
+            "flap_open": False,
+        },
+        "shed_trip": [],
+        "shed_feed": [[], []],
+        "next_fault": 0,
+        "storm_day": 0,
+        "pending": [],
+        "census": {"faults_injected": 0},
+    }
+
+    def test_restore_raises_state_error(self):
+        campaign = _chaos_builder().build()
+        campaign.run(until=dt.datetime(2010, 2, 21, 12, 0))
+        snapshot = campaign.checkpoint()
+        assert Campaign.restore(snapshot).plant is not None
+        snapshot.components["plant"] = dict(self.LEGACY_STATE)
+        with pytest.raises(StateError, match="PlantController"):
+            Campaign.restore(snapshot)
 
 
 class TestEmptyPlanDigest:
